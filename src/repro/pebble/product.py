@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.automata.top_down import TopDownTA
 from repro.errors import PebbleMachineError
-from repro.runtime.cache import memoized
 from repro.pebble.automaton import PebbleAutomaton
 from repro.pebble.transducer import (
     Branch0,
@@ -40,20 +39,6 @@ def transducer_times_automaton(
         raise PebbleMachineError(
             "the type automaton must cover the transducer's output alphabet"
         )
-    # Memoized: the same (transducer, output type) pair recurs whenever a
-    # typecheck is re-run — and a hit returns the interned product, whose
-    # own cached fingerprint makes the downstream ``pebble.to_regular``
-    # lookup nearly free (no re-fingerprinting of the big product).
-    return memoized(
-        "pebble.product",
-        (transducer, automaton),
-        lambda: _transducer_times_automaton(transducer, automaton),
-    )
-
-
-def _transducer_times_automaton(
-    transducer: PebbleTransducer, automaton: TopDownTA
-) -> PebbleAutomaton:
     b = automaton.without_silent()
     b_states = sorted(b.states, key=repr)
     nb = range(len(b_states))

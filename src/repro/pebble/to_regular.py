@@ -47,7 +47,6 @@ from repro.mso.annotations import (
 )
 from repro.mso.annotations import project as project_vars
 from repro.pebble.automaton import PebbleAutomaton
-from repro.runtime.cache import memoized
 from repro.runtime.governor import current_governor
 from repro.runtime.trace import current_tracer
 from repro.pebble.transducer import (
@@ -539,10 +538,6 @@ class _ToRegular:
                     targets.add(action.target)
         return targets
 
-    def _compile_level(self, level: int) -> tuple[tuple[str, ...], dict]:
-        compiler = _LevelCompiler(self, level)
-        return compiler.keep_vars, compiler.results
-
     def phi(
         self, level: int, target: State
     ) -> tuple[tuple[str, ...], BottomUpTA]:
@@ -550,15 +545,8 @@ class _ToRegular:
         if level not in self._levels:
             with current_governor().phase(f"regularize:level{level}"), \
                     current_tracer().span(f"regularize:level{level}"):
-                # memoized across _ToRegular instances: recurring product
-                # automata (same transducer x output type) skip the whole
-                # quantifier-block construction for the level.
-                self._levels[level] = memoized(
-                    "pebble.level",
-                    (self.automaton,),
-                    lambda: self._compile_level(level),
-                    extra=(level,),
-                )
+                compiler = _LevelCompiler(self, level)
+                self._levels[level] = compiler.keep_vars, compiler.results
         keep_vars, results = self._levels[level]
         if target not in results:
             raise PebbleMachineError(
@@ -580,13 +568,6 @@ def pebble_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
     of :mod:`repro.pebble.two_way`; the general case pays the paper's
     hyperexponential price (Theorem 4.8).
     """
-    return memoized(
-        "pebble.to_regular", (automaton,),
-        lambda: _pebble_automaton_to_ta(automaton),
-    )
-
-
-def _pebble_automaton_to_ta(automaton: PebbleAutomaton) -> BottomUpTA:
     from repro.pebble.quotient import quotient_pebble_automaton
     from repro.pebble.two_way import is_walking, walking_automaton_to_ta
 

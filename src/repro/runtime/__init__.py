@@ -13,11 +13,12 @@ points are::
 or, more conveniently, the ``timeout=`` / ``max_steps=`` / ``max_states=``
 keywords of :func:`repro.typecheck.typecheck` itself.
 
-The sibling :mod:`repro.runtime.cache` memoizes the hot automata algebra
-(determinize/complement/product/minimize/..., regex compilation, pebble
-level compilation) in a process-wide bounded LRU keyed on structural
-fingerprints; see ``cache_stats()`` / ``configure_cache()`` /
-``cache_disabled()`` below and the DESIGN.md section on memoization.
+The sibling :mod:`repro.runtime.cache` memoizes the typecheck stages
+and the automata algebra (determinize/complement/product/minimize/...,
+regex compilation), outermost calls only, in a process-wide bounded LRU
+keyed on structural fingerprints; see ``cache_stats()`` /
+``configure_cache()`` / ``cache_disabled()`` below and the DESIGN.md
+section on memoization.
 
 Above the cooperative governor sits the *supervised* runtime
 (:mod:`repro.runtime.supervisor`): isolated worker subprocesses with

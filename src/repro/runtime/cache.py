@@ -1,29 +1,45 @@
 """Memoized automata algebra: structural fingerprints + a bounded LRU.
 
-The exact pipeline of Theorem 4.4 is dominated by repeated automata
-algebra — the same determinizations, products, complements and
-minimizations are rebuilt over and over across typechecking runs (and
-even *within* one run: every per-level compilation of
-:mod:`repro.pebble.to_regular` re-derives structurally identical
-intermediate automata).  Frisch & Hosoya's observation for macro tree
-transducers applies verbatim here: practical typechecking lives or dies
-on sharing.  This module provides the sharing:
+Frisch & Hosoya's observation for macro tree transducers applies here:
+sharing pays only where it costs less than the work it saves.  Keying a
+construction means fingerprinting its inputs, so this module memoizes
+*stages* whose inputs are small and whose work is large, and nothing
+inside them:
 
 * **Structural fingerprints** (:func:`fingerprint`) for
   :class:`~repro.automata.bottom_up.BottomUpTA`,
   :class:`~repro.regex.dfa.DFA`, :class:`~repro.regex.nfa.NFA`,
-  :class:`~repro.regex.syntax.Regex` and
-  :class:`~repro.pebble.automaton.PebbleAutomaton`: a canonical renaming
-  of the state set followed by a content hash, cached on the object, so
-  structurally identical values key to the same table slot no matter how
-  their states happen to be named.  Equal fingerprints imply *structural
+  :class:`~repro.regex.syntax.Regex`,
+  :class:`~repro.pebble.automaton.PebbleAutomaton` and the transducer
+  and top-down automaton classes: a canonical renaming of the state set
+  followed by a content hash, cached on the object, so structurally
+  identical values key to the same table slot no matter how their
+  states happen to be named.  Equal fingerprints imply *structural
   isomorphism* (identical rule tables under the canonical numbering),
   which is the soundness contract every memoized operation relies on.
+  Fingerprints are persisted keys (the disk tier), so their output
+  never changes.
 * **A process-wide bounded LRU memo table** (:data:`GLOBAL_CACHE`) keyed
   on ``(operation, fingerprints, extras)``.  :func:`memoized` is the
-  single entry point the algebra call sites use.
+  single entry point the call sites use.  The coarse stages are
+  ``typecheck.bad-inputs`` (complement, Prop 4.6 product and Thm 4.7
+  regularization, keyed on the transducer and τ2),
+  ``typecheck.offending`` (the intersection with τ1 and its witness) and
+  ``routing.lazy-backward`` (product, trim/quotient, the lazy search and
+  its witness, keyed on the transducer, τ2 and τ1); the algebra
+  operations (``ta.*``, ``dfa.*``, ``re.compile``) are memoized too,
+  for callers that use them directly.  The Prop 4.6 product and the
+  Thm 4.7 regularization are not: they only run inside a stage.
+* **Outermost only.**  A :func:`memoized` call made while another
+  memoized ``compute()`` runs in the same thread or context neither
+  keys, looks up nor stores: it just computes, and the outer entry
+  already covers its result.  So the big intermediate objects of a
+  stage (the Prop 4.6 product above all) are never fingerprinted.
+* **Structural sizing.**  The ``bytes`` counter and budget use
+  :func:`structural_size` (states plus rules, times a nominal
+  per-element size): an estimate, not an accounting.
 
-Composition with the resource governor (PR 1):
+Composition with the resource governor:
 
 * Entries are written **only on successful completion** — a
   :class:`~repro.errors.ResourceExhausted` raised mid-operation
@@ -38,12 +54,11 @@ Composition with the resource governor (PR 1):
 Observability: :func:`cache_stats` exposes hit/miss/store/eviction/bytes
 counters, surfaced by ``typecheck()`` (``stats["cache"]``) and by the
 CLI's ``--cache-stats`` flag; ``--no-cache`` (or ``REPRO_CACHE=0`` in
-the environment) disables the table entirely for A/B runs.  Under an
-ambient tracer (:mod:`repro.runtime.trace`), every :func:`memoized`
-call additionally opens a span named after the operation — tagged
-``cache="hit"/"miss"`` with ``fingerprint`` / ``compute`` /
-``memo-store`` sub-spans — while the untraced path stays byte-for-byte
-the original code behind one ``tracer.active`` check.
+the environment) disables the table entirely for A/B runs.  Every
+outermost :func:`memoized` call opens a span named after the operation
+under the ambient tracer (:mod:`repro.runtime.trace`), tagged
+``cache="hit"/"persistent-hit"/"miss"``; traced and untraced runs share
+one code path, so they count the same hits, misses and stores.
 """
 
 from __future__ import annotations
@@ -51,10 +66,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from repro.runtime.governor import current_governor
@@ -72,7 +87,6 @@ __all__ = [
     "configure_cache",
     "cache_disabled",
     "install_persistent",
-    "current_persistent",
     "persistent_tier",
     "tracked_keys",
     "quarantine_keys",
@@ -85,46 +99,29 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
-# size estimation (approximate, for the bytes budget/counter)
+# size estimation (structural, for the bytes budget/counter)
 # ---------------------------------------------------------------------------
 
+#: Nominal bytes per state or rule of a cached automaton.
+UNIT_BYTES = 256
 
-def estimate_size(value: Any) -> int:
-    """Rough deep ``sys.getsizeof`` of ``value`` (shared objects counted
-    once).  Used for the cache's bytes counter and eviction budget; the
-    number is an estimate, not an accounting guarantee."""
-    seen: set[int] = set()
-    seen_add = seen.add
-    getsizeof = sys.getsizeof
-    total = 0
-    stack = [value]
-    while stack:
-        obj = stack.pop()
-        i = id(obj)
-        if i in seen:
-            continue
-        seen_add(i)
-        cls = obj.__class__
-        if cls is int or cls is str:  # leaf fast path (the common case)
-            total += getsizeof(obj)
-            continue
-        try:
-            total += getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects
-            total += 64
-        if cls is dict:
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif cls in (list, tuple, set, frozenset):
-            stack.extend(obj)
-        elif isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-        elif hasattr(obj, "__dict__"):
-            stack.extend(vars(obj).values())
-    return total
+
+def structural_size(value: Any) -> int:
+    """A cheap size estimate of a cached ``value``, in bytes.
+
+    Counts the states plus rules of an automaton (``states``, ``rules``;
+    a DFA's ``n_states``/``delta``),
+    summed over the items of a tuple, list or dict; any other value
+    counts as one element.  O(number of parts), never a deep walk."""
+    if isinstance(value, (tuple, list)):
+        return sum(map(structural_size, value)) + UNIT_BYTES
+    if isinstance(value, dict):
+        return sum(map(structural_size, value.values())) + UNIT_BYTES
+    units = (
+        1 + len(getattr(value, "states", ())) + getattr(value, "n_states", 0)
+        + len(getattr(value, "rules", ())) + len(getattr(value, "delta", ()))
+    )
+    return units * UNIT_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,7 @@ def _ta_state_order(ta: Any) -> list:
         # only re-yield already-numbered states, so skipping them changes
         # nothing about the sequence of additions — the numbering is
         # byte-identical to the naive known x known fixpoint.
-        from repro.automata.bitset import bit_indices, ta_index
+        from repro.automata.bitset import ta_index
 
         idx = ta_index(ta)
         states_by_i, intern, n = idx.order, idx.index, idx.n
@@ -317,32 +314,32 @@ def _ta_state_order(ta: Any) -> list:
                     order[state] = len(order)
         internals = sorted(ta.alphabet.internals)
         pair = idx.pair
-        known = [intern[state] for state in order]
-        new_ids = set(known)
-        while new_ids:
-            current = list(known)
+        current = [intern[state] for state in order]
+        split = 0  # current[split:] are the states new in this round
+        while split < len(current):
+            new = current[split:]
             fresh: list[int] = []
             for symbol in internals:
                 row = pair.get(symbol)
                 if not row:
                     continue
-                for left in current:
-                    left_new = left in new_ids
+                for position, left in enumerate(current):
                     base = left * n
-                    for right in current:
-                        if not left_new and right not in new_ids:
-                            continue
+                    # a known left only pairs with new rights
+                    for right in current if position >= split else new:
                         tmask = row.get(base + right)
                         if not tmask:
                             continue
-                        for target in bit_indices(tmask):
-                            state = states_by_i[target]
-                            if state not in order:
-                                order[state] = len(order)
-                                fresh.append(target)
-            known.extend(fresh)
-            new_ids = set(fresh)
-    for state in sorted(ta.states - set(order), key=stable_repr):
+                        target = tmask.bit_length() - 1  # the one bit
+                        state = states_by_i[target]
+                        if state not in order:
+                            order[state] = len(order)
+                            fresh.append(target)
+            split = len(current)
+            current.extend(fresh)
+    memo = _ReprMemo()
+    rest = sorted(ta.states - set(order), key=lambda s: _stable_repr(s, memo))
+    for state in rest:
         order[state] = len(order)
     return sorted(order, key=order.get)
 
@@ -355,14 +352,14 @@ def _ta_fingerprint(ta: Any, exact: bool) -> str:
         sorted(ta.alphabet.internals),
         len(ordered),
         sorted(
-            (symbol, sorted(index[q] for q in targets))
+            (symbol, sorted([index[q] for q in targets]))
             for symbol, targets in ta.leaf_rules.items()
         ),
-        sorted(
+        sorted([
             (symbol, index[left], index[right],
-             sorted(index[q] for q in targets))
+             sorted([index[q] for q in targets]))
             for (symbol, left, right), targets in ta.rules.items()
-        ),
+        ]),
         sorted(index[q] for q in ta.accepting),
     ]
     if exact:
@@ -537,7 +534,8 @@ class MemoCache:
 
     Entries are ``key -> (value, size_estimate)``; the table evicts
     least-recently-used entries whenever either the entry count or the
-    (estimated) byte budget is exceeded.
+    (structurally estimated, see :func:`structural_size`) byte budget is
+    exceeded.
     """
 
     def __init__(
@@ -574,7 +572,7 @@ class MemoCache:
 
     def store(self, key: Hashable, value: Any) -> None:
         """Insert ``key -> value``, evicting LRU entries over budget."""
-        size = estimate_size(value)
+        size = structural_size(value)
         with self._lock:
             if key in self._table:
                 self._bytes -= self._table.pop(key)[1]
@@ -664,8 +662,9 @@ GLOBAL_CACHE = MemoCache(
 #: The process-wide persistent tier, or ``None``.  Installed by the
 #: service workers (:mod:`repro.runtime.service`) with a
 #: :class:`repro.runtime.diskcache.DiskCache`; the contract is duck
-#: typed: ``get(key, default)`` and ``put(key, value)`` over the
-#: canonical string keys of :func:`memo_key`.
+#: typed: ``get(key, default)``, ``put(key, value)``, ``keys()`` and
+#: ``quarantine(keys, reason)`` over the canonical string keys of
+#: :func:`memo_key`.
 _PERSISTENT: Optional[Any] = None
 
 #: When set (see :func:`tracked_keys`), every memoized operation adds its
@@ -698,7 +697,7 @@ def quarantine_keys(
     """Evict ``keys`` from *both* memo tiers (the audit's quarantine).
 
     The in-memory entries are invalidated outright; with a persistent
-    tier installed that supports quarantine (the service workers'
+    tier installed (the service workers'
     :class:`~repro.runtime.diskcache.DiskCache`), the on-disk records are
     tombstoned and journaled to ``quarantine.jsonl`` so no future worker
     or daemon incarnation can re-serve them.  Returns eviction counts.
@@ -721,14 +720,9 @@ def quarantine_keys(
     disk_count = 0
     if disk is not None:
         disk_keys = key_list
-        if purge and hasattr(disk, "keys"):
+        if purge:
             disk_keys = sorted(set(map(str, key_list)) | set(disk.keys()))
-        if hasattr(disk, "quarantine"):
-            disk_count = disk.quarantine(disk_keys, reason=reason)
-        elif hasattr(disk, "invalidate"):
-            disk_count = sum(
-                1 for key in disk_keys if disk.invalidate(key)
-            )
+        disk_count = disk.quarantine(disk_keys, reason=reason)
     counts = {
         "keys": len(key_list),
         "memory_evicted": memory,
@@ -749,11 +743,6 @@ def install_persistent(disk: Optional[Any]) -> None:
     """
     global _PERSISTENT
     _PERSISTENT = disk
-
-
-def current_persistent() -> Optional[Any]:
-    """The installed persistent tier, or ``None``."""
-    return _PERSISTENT
 
 
 @contextmanager
@@ -785,6 +774,12 @@ def memo_key(
     return f"{operation}|{'|'.join(fps)}|{stable_repr(extra)}"
 
 
+#: True while a memoized ``compute()`` runs in this thread or context:
+#: the memo calls it makes are covered by its entry and just compute.
+_COMPUTING: ContextVar[bool] = ContextVar("repro_memo_computing",
+                                          default=False)
+
+
 def memoized(
     operation: str,
     inputs: tuple,
@@ -802,6 +797,10 @@ def memoized(
     result is stored **only if it completes**: a ``ResourceExhausted``
     (or any other exception) leaves no entry behind.
 
+    Outermost only: called while another memoized ``compute()`` runs in
+    the same thread or context, this just returns ``compute()`` — no
+    key, no lookup, no store — since the outer entry covers the result.
+
     With a persistent tier installed (:func:`install_persistent`), an
     in-memory miss falls through to the disk cache before computing; a
     disk hit is promoted into the in-memory table (and charges the same
@@ -809,66 +808,33 @@ def memoized(
     is written through to disk so it outlives this process.
     """
     cache = GLOBAL_CACHE
-    tracer = current_tracer()
-    if not tracer.active:
-        if not cache.enabled:
-            return compute()
+    if not cache.enabled or _COMPUTING.get():
+        return compute()
+    with current_tracer().span(operation) as span:
         key = memo_key(operation, inputs, extra, exact)
         if _TRACKED is not None:
             _TRACKED.add(key)
         value = cache.lookup(key)
-        if value is not MemoCache._MISS:
-            current_governor().tick()
-            return value
+        status = "hit"
         disk = _PERSISTENT
-        if disk is not None:
+        if value is MemoCache._MISS and disk is not None:
             value = disk.get(key, MemoCache._MISS)
             if value is not MemoCache._MISS:
                 cache.store(key, value)
-                current_governor().tick()
-                return value
-        value = compute()
+                status = "persistent-hit"
+        if value is not MemoCache._MISS:
+            current_governor().tick()
+            span.set(cache=status)
+            return value
+        span.set(cache="miss")
+        token = _COMPUTING.set(True)
+        try:
+            value = compute()
+        finally:
+            _COMPUTING.reset(token)
         cache.store(key, value)
         if disk is not None:
             disk.put(key, value)
-        return value
-    # Traced path: one span per memoized operation — this single hook
-    # covers the whole automata algebra (bottom-up TA boolean ops, DFA
-    # ops, regex compilation, per-level pebble compilation).
-    with tracer.span(operation) as span:
-        if not cache.enabled:
-            span.set(cache="disabled")
-            return compute()
-        # keying can dominate on large automata (canonical renaming +
-        # content hash), so it gets its own leaf span
-        with tracer.span("fingerprint"):
-            key = memo_key(operation, inputs, extra, exact)
-        if _TRACKED is not None:
-            _TRACKED.add(key)
-        value = cache.lookup(key)
-        if value is not MemoCache._MISS:
-            current_governor().tick()
-            span.set(cache="hit")
-            return value
-        disk = _PERSISTENT
-        if disk is not None:
-            with tracer.span("persistent-lookup"):
-                value = disk.get(key, MemoCache._MISS)
-            if value is not MemoCache._MISS:
-                cache.store(key, value)
-                current_governor().tick()
-                span.set(cache="persistent-hit")
-                return value
-        span.set(cache="miss")
-        # the construction itself gets a span too, so the table's own
-        # bookkeeping (lookup/store) stays separable from compute time
-        with tracer.span("compute"):
-            value = compute()
-        # storing is not free either: the bytes budget deep-sizes value
-        with tracer.span("memo-store"):
-            cache.store(key, value)
-            if disk is not None:
-                disk.put(key, value)
         return value
 
 

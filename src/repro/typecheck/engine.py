@@ -51,7 +51,7 @@ from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.to_regular import pebble_automaton_to_ta
 from repro.pebble.transducer import PebbleTransducer
-from repro.runtime.cache import cache_stats
+from repro.runtime.cache import cache_stats, memoized
 from repro.runtime.governor import (
     ResourceGovernor,
     current_governor,
@@ -192,20 +192,25 @@ def bad_input_language(
     transducer: PebbleTransducer, output_type: TypeLike
 ) -> BottomUpTA:
     """The regular language ``{t | T(t) ⊈ tau2}`` (the complement of the
-    inverse type)."""
+    inverse type).  Memoized as one stage keyed on the transducer and
+    τ2, so the Prop 4.6 product it builds is never fingerprinted."""
     governor = current_governor()
     tracer = current_tracer()
-    with governor.phase("complement-output-type"), \
-            tracer.span("complement-output-type"):
-        with tracer.span("coerce-output-type"):
-            tau2 = as_automaton(output_type, transducer.output_alphabet)
-        complemented = tau2.complemented().trimmed()
-        with tracer.span("bu-to-td"):
-            not_tau2 = bu_to_td(complemented)
-    with governor.phase("transducer-product"), \
-            tracer.span("transducer-product"):
-        product = transducer_times_automaton(transducer, not_tau2)
-    return pebble_automaton_to_ta(product)
+    with tracer.span("coerce-output-type"):
+        tau2 = as_automaton(output_type, transducer.output_alphabet)
+
+    def stage() -> BottomUpTA:
+        with governor.phase("complement-output-type"), \
+                tracer.span("complement-output-type"):
+            complemented = tau2.complemented().trimmed()
+            with tracer.span("bu-to-td"):
+                not_tau2 = bu_to_td(complemented)
+        with governor.phase("transducer-product"), \
+                tracer.span("transducer-product"):
+            product = transducer_times_automaton(transducer, not_tau2)
+        return pebble_automaton_to_ta(product)
+
+    return memoized("typecheck.bad-inputs", (transducer, tau2), stage)
 
 
 def typecheck(
@@ -482,37 +487,44 @@ def _typecheck_exact(
     tracer = current_tracer()
     with tracer.span("coerce-input-type"):
         tau1 = as_automaton(input_type, transducer.input_alphabet)
-    bad = bad_input_language(transducer, output_type)
-    with ambient.phase("intersect-input-type"), \
-            tracer.span("intersect-input-type"):
-        # align alphabets before intersecting (types may use extra symbols)
-        tau1 = as_automaton(tau1, bad.alphabet)
-        bad = as_automaton(bad, tau1.alphabet)
-        offending = bad.intersection(tau1).trimmed()
-    elapsed = time.perf_counter() - started
-    stats = {
-        "seconds": elapsed,
-        "bad_language_states": len(bad.states),
-        "offending_states": len(offending.states),
-    }
+    with tracer.span("coerce-output-type"):
+        tau2 = as_automaton(output_type, transducer.output_alphabet)
+    bad = bad_input_language(transducer, tau2)
+
+    def stage():
+        with ambient.phase("intersect-input-type"), \
+                tracer.span("intersect-input-type"):
+            # align alphabets before intersecting (types may use extra
+            # symbols)
+            input_type = as_automaton(tau1, bad.alphabet)
+            bad_inputs = as_automaton(bad, input_type.alphabet)
+            offending = bad_inputs.intersection(input_type).trimmed()
+        sizes = {
+            "bad_language_states": len(bad.states),
+            "offending_states": len(offending.states),
+        }
+        with ambient.phase("witness"), tracer.span("witness"):
+            witness = offending.witness()
+            if witness is None:
+                return sizes, None, None
+            return sizes, witness, offending_output(
+                transducer, witness, tau2.complemented()
+            )
+
+    # keyed on ``bad`` too, so the verdict always follows the bad-input
+    # entry actually served (the audit's quarantine relies on that)
+    sizes, witness, bad_output = memoized(
+        "typecheck.offending", (transducer, tau2, bad, tau1), stage
+    )
+    stats = {"seconds": time.perf_counter() - started, **sizes}
     if governor is not None:
         stats["budget"] = {
             "steps": governor.steps,
             "states": governor.states,
             "elapsed": governor.elapsed(),
         }
-    with ambient.phase("witness"), tracer.span("witness"):
-        witness = offending.witness()
-        if witness is None:
-            return TypecheckResult(ok=True, method="exact", stats=stats)
-        bad_output = (
-            output_language(transducer, witness)
-            .intersection(
-                as_automaton(output_type, transducer.output_alphabet)
-                .complemented()
-            )
-            .witness()
-        )
+    if witness is None:
+        return TypecheckResult(ok=True, method="exact", stats=stats)
     return TypecheckResult(
         ok=False,
         method="exact",
@@ -520,6 +532,14 @@ def _typecheck_exact(
         counterexample_output=bad_output,
         stats=stats,
     )
+
+
+def offending_output(
+    transducer: PebbleTransducer, tree: BTree, not_tau2: BottomUpTA
+) -> Optional[BTree]:
+    """An output of ``transducer`` on ``tree`` in ``not_tau2``, the
+    complement of the output type (``None`` if there is none)."""
+    return output_language(transducer, tree).intersection(not_tau2).witness()
 
 
 def _input_instances(
@@ -587,10 +607,7 @@ def _typecheck_bounded(
                 break
             checked += 1
             governor.tick()
-            bad_outputs = output_language(transducer, tree).intersection(
-                not_tau2
-            )
-            witness = bad_outputs.witness()
+            witness = offending_output(transducer, tree, not_tau2)
             if witness is not None:
                 return TypecheckResult(
                     ok=False,

@@ -43,7 +43,6 @@ from typing import Optional
 from repro.automata.alternating import LazyTA, lazy_product_witness
 from repro.automata.convert import bu_to_td
 from repro.errors import TypecheckError
-from repro.pebble.output_automaton import output_language
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.quotient import quotient_pebble_automaton
 from repro.pebble.to_regular import trim_pebble_automaton
@@ -386,7 +385,11 @@ def typecheck_fast(
     determinism makes the output unique, linearity makes the two child
     triples independent).  Polynomial: at most ``|Q|·|P|·|B|`` triples.
     """
-    from repro.typecheck.engine import TypecheckResult, as_automaton
+    from repro.typecheck.engine import (
+        TypecheckResult,
+        as_automaton,
+        offending_output,
+    )
 
     started = time.perf_counter()
     gov = current_governor()
@@ -521,14 +524,7 @@ def typecheck_fast(
     if bad is None:
         return TypecheckResult(ok=True, method=FAST_TD, stats=stats)
     with gov.phase("witness"), tracer.span("witness"):
-        bad_output = (
-            output_language(transducer, bad)
-            .intersection(
-                as_automaton(output_type, transducer.output_alphabet)
-                .complemented()
-            )
-            .witness()
-        )
+        bad_output = offending_output(transducer, bad, tau2.complemented())
     return TypecheckResult(
         ok=False,
         method=FAST_TD,
@@ -558,10 +554,15 @@ def typecheck_lazy(
     :func:`~repro.automata.alternating.lazy_product_witness` search
     over an implicit :class:`~repro.automata.alternating.LazyTA` whose
     states are computed on demand.  Exact for every one-pebble
-    transducer; the search result is memoized like the eager pipeline's
-    constructions.
+    transducer.  The chain from the product to the witness is one memo
+    entry keyed on ``(T, τ2, τ1)``, so neither the product nor its
+    quotient is ever fingerprinted, and a warm repeat skips them all.
     """
-    from repro.typecheck.engine import TypecheckResult, as_automaton
+    from repro.typecheck.engine import (
+        TypecheckResult,
+        as_automaton,
+        offending_output,
+    )
 
     started = time.perf_counter()
     gov = current_governor()
@@ -577,21 +578,24 @@ def typecheck_lazy(
             tracer.span("complement-output-type"):
         with tracer.span("coerce-output-type"):
             tau2 = as_automaton(output_type, transducer.output_alphabet)
-        complemented = tau2.complemented().trimmed()
-        with tracer.span("bu-to-td"):
-            not_tau2 = bu_to_td(complemented)
-    with gov.phase("transducer-product"), tracer.span("transducer-product"):
-        product = transducer_times_automaton(transducer, not_tau2)
-    with gov.phase("pebble-trim"), tracer.span("pebble-trim"):
-        walking = quotient_pebble_automaton(trim_pebble_automaton(product))
-    if not is_walking(walking):  # pragma: no cover - k==1 guarantees this
-        raise TypecheckError(
-            "lazy backward inference needs a walking product automaton"
-        )
-
+        not_tau2 = tau2.complemented()
     counts: dict = {}
 
-    def search() -> Optional[BTree]:
+    def stage():
+        # the memoized chain: product, trim/quotient, search, witness
+        with tracer.span("bu-to-td"):
+            top_down = bu_to_td(not_tau2.trimmed())
+        with gov.phase("transducer-product"), \
+                tracer.span("transducer-product"):
+            product = transducer_times_automaton(transducer, top_down)
+        with gov.phase("pebble-trim"), tracer.span("pebble-trim"):
+            walking = quotient_pebble_automaton(
+                trim_pebble_automaton(product)
+            )
+        if not is_walking(walking):  # pragma: no cover - k==1 guarantees
+            raise TypecheckError(
+                "lazy backward inference needs a walking product automaton"
+            )
         table = _StateTable(walking)
         prepared = _prepare_rules(walking, table)
         entry_mask = _entry_mask(walking, table)
@@ -632,18 +636,22 @@ def typecheck_lazy(
             step=step,
             is_accepting=lambda relation: root_pair in relation,
         )
-        witness = lazy_product_witness(lazy, tau1, stats=counts)
+        with gov.phase("lazy-pairs"):
+            witness = lazy_product_witness(lazy, tau1, stats=counts)
         counts["relations"] = len(leaves) + len(steps)
-        return witness
+        bad_output = None
+        if witness is not None:
+            with gov.phase("witness"), tracer.span("witness"):
+                bad_output = offending_output(transducer, witness, not_tau2)
+        return witness, bad_output, walking.stats()
 
-    with gov.phase("lazy-pairs"):
-        witness = memoized(
-            "routing.lazy-backward", (walking, tau1), search
-        )
+    witness, bad_output, product_stats = memoized(
+        "routing.lazy-backward", (transducer, tau2, tau1), stage
+    )
 
     stats: dict = {
         "seconds": time.perf_counter() - started,
-        "product": walking.stats(),
+        "product": dict(product_stats),
     }
     if counts:
         stats["search"] = dict(counts)
@@ -657,15 +665,6 @@ def typecheck_lazy(
         }
     if witness is None:
         return TypecheckResult(ok=True, method=LAZY_BACKWARD, stats=stats)
-    with gov.phase("witness"), tracer.span("witness"):
-        bad_output = (
-            output_language(transducer, witness)
-            .intersection(
-                as_automaton(output_type, transducer.output_alphabet)
-                .complemented()
-            )
-            .witness()
-        )
     return TypecheckResult(
         ok=False,
         method=LAZY_BACKWARD,

@@ -55,10 +55,13 @@ def typecheck_job(job_id: str) -> JobSpec:
 
 
 def start_serve(state_dir, *extra: str) -> subprocess.Popen:
+    # its own process group, so the reaper can also stop the pool workers
+    # a SIGKILLed daemon leaves behind
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--dir", str(state_dir),
          "--workers", "1", "--hydrate", "0", *extra],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
         env={**os.environ,
              "PYTHONPATH": os.pathsep.join(
                  filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])
@@ -93,12 +96,16 @@ def wait_for_results(results_path, wanted: set, timeout: float = 30.0):
 
 @pytest.fixture
 def reaper():
+    """Register daemons; at teardown, kill each one's whole process
+    group (the daemon and its pool workers, orphaned ones included)."""
     processes: list[subprocess.Popen] = []
     yield processes.append
     for process in processes:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait(timeout=10)
 
 
 def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
@@ -108,8 +115,10 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     })
     wedged = next(f"job-{i}" for i in range(100)
                   if plan.decide("pool:worker-wedge", f"job-{i}#1"))
-    clean = next(f"job-{i}" for i in range(100)
+    # the warm-up job must not wedge either: pick both clean ids alike
+    clean_ids = (f"job-{i}" for i in range(100)
                  if not plan.decide("pool:worker-wedge", f"job-{i}#1"))
+    done_before_id, clean = next(clean_ids), next(clean_ids)
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan.to_dict()))
     state = tmp_path / "state"
@@ -118,7 +127,7 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     reaper(first)
     client = wait_for_daemon(state / "service.sock")
     # a completed job before the crash: its result line must survive
-    done_before = client.submit(validate_job("done-before"))
+    done_before = client.submit(validate_job(done_before_id))
     assert done_before["result"]["status"] == OK
     # one job wedges in-flight, one sits queued behind it
     assert client.submit(validate_job(wedged), wait=False)["ok"]
@@ -133,8 +142,8 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     reaper(second)
     client = wait_for_daemon(state / "service.sock")
     done = wait_for_results(state / "results.jsonl",
-                            {"done-before", wedged, clean})
-    assert done["done-before"]["status"] == OK
+                            {done_before_id, wedged, clean})
+    assert done[done_before_id]["status"] == OK
     assert done[wedged]["status"] == OK
     assert done[clean]["status"] == OK
     assert client.stats()["stats"]["replayed"] == 2
@@ -143,7 +152,7 @@ def test_kill9_with_jobs_in_flight_replays_exactly_once(tmp_path, reaper):
     ids = [json.loads(line)["id"] for line in
            (state / "results.jsonl").read_text().splitlines()
            if line.strip()]
-    assert sorted(ids) == sorted(["done-before", wedged, clean])
+    assert sorted(ids) == sorted([done_before_id, wedged, clean])
 
     assert client.shutdown()["ok"]
     assert second.wait(timeout=30) == 0
