@@ -22,17 +22,24 @@ bottom-up, breadth-first over *pairs* ``(lazy state, explicit state)``,
 carrying a representative tree per pair.  It returns the first tree
 accepted by both sides, or ``None`` when the product language is empty
 — without ever enumerating the unreachable part of either automaton.
+It is the one product emptiness and witness search of the package:
+:meth:`~repro.automata.bottom_up.BottomUpTA.product_witness` pairs two
+explicit automata through it, reading the deterministic side through
+:func:`deterministic_view`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Optional
 
-from repro.automata.bottom_up import BottomUpTA
+from repro.automata.bitset import ta_index
 from repro.runtime.governor import current_governor
 from repro.trees.ranked import BTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.automata.bottom_up import BottomUpTA
 
 #: A lazy automaton state — anything hashable (the routing layer uses
 #: frozensets of packed summary pairs).
@@ -59,9 +66,39 @@ class LazyTA:
     is_accepting: Callable[[LazyState], bool]
 
 
+#: The rejecting sink of :func:`deterministic_view`: the state of every
+#: tree that uses a rule the automaton does not have.
+SINK = -1
+
+
+def deterministic_view(ta: "BottomUpTA") -> LazyTA:
+    """A deterministic ``ta`` as a :class:`LazyTA` over its intern indices.
+
+    Steps read the rows of :func:`~repro.automata.bitset.ta_index`
+    (one target bit per rule, as determinism guarantees); a missing rule
+    leads to :data:`SINK`, which rejects and steps only to itself.
+    """
+    idx = ta_index(ta)
+    n, leaf, pair, accepting = idx.n, idx.leaf, idx.pair, idx.accepting_mask
+
+    def leaf_state(symbol: str) -> int:
+        return leaf.get(symbol, 0).bit_length() - 1
+
+    def step(symbol: str, left: int, right: int) -> int:
+        row = pair.get(symbol)
+        if row is None or left < 0 or right < 0:
+            return SINK
+        return row.get(left * n + right, 0).bit_length() - 1
+
+    def is_accepting(state: int) -> bool:
+        return state >= 0 and bool((accepting >> state) & 1)
+
+    return LazyTA(leaf_state=leaf_state, step=step, is_accepting=is_accepting)
+
+
 def lazy_product_witness(
     lazy: LazyTA,
-    explicit: BottomUpTA,
+    explicit: "BottomUpTA",
     stats: Optional[dict] = None,
 ) -> Optional[BTree]:
     """A tree accepted by both ``lazy`` and ``explicit``, else ``None``.
@@ -116,13 +153,15 @@ def lazy_product_witness(
                 report()
                 return hit
 
-    by_left: dict[Hashable, list[tuple[str, Hashable, frozenset]]] = {}
-    by_right: dict[Hashable, list[tuple[str, Hashable, frozenset]]] = {}
+    # targets in a process-stable order, sorted once per rule
+    by_left: dict[Hashable, list[tuple[str, Hashable, list]]] = {}
+    by_right: dict[Hashable, list[tuple[str, Hashable, list]]] = {}
     for (symbol, p1, p2), targets in explicit.rules.items():
         if not targets:
             continue
-        by_left.setdefault(p1, []).append((symbol, p2, targets))
-        by_right.setdefault(p2, []).append((symbol, p1, targets))
+        ordered = sorted(targets, key=repr)
+        by_left.setdefault(p1, []).append((symbol, p2, ordered))
+        by_right.setdefault(p2, []).append((symbol, p1, ordered))
 
     while queue:
         s1, p1 = queue.popleft()
@@ -133,7 +172,7 @@ def lazy_product_witness(
                 governor.tick()
                 steps += 1
                 state = lazy.step(symbol, s1, s2)
-                for p in sorted(targets, key=repr):
+                for p in targets:
                     hit = offer(state, p, BTree(symbol, tree1, tree2))
                     if hit is not None:
                         report()
@@ -144,7 +183,7 @@ def lazy_product_witness(
                 governor.tick()
                 steps += 1
                 state = lazy.step(symbol, s0, s1)
-                for p in sorted(targets, key=repr):
+                for p in targets:
                     hit = offer(state, p, BTree(symbol, tree0, tree1))
                     if hit is not None:
                         report()

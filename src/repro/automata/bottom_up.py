@@ -13,6 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
+from repro.automata.alternating import (
+    deterministic_view,
+    lazy_product_witness,
+)
 from repro.automata.bitset import (
     SubsetState,
     TAIndex,
@@ -239,200 +243,37 @@ class BottomUpTA:
 
     # -- on-the-fly product emptiness (Frisch-Hosoya style) ----------------------
 
-    def product_is_empty(
-        self,
-        other: "BottomUpTA",
-        combine: Optional[Callable[[bool, bool], bool]] = None,
-    ) -> bool:
-        """Emptiness of the ``combine``-product language, decided on the fly.
-
-        Unlike ``product(...).is_empty()`` this never materializes the
-        product automaton: it explores only the *reachable* product pairs
-        and stops as soon as one accepting pair appears.  ``combine``
-        defaults to intersection.  As with :meth:`product`, only pairs where
-        both automata have a run are considered, so for non-complete inputs
-        ``combine`` should satisfy ``combine(False, False) == False``.
-        """
-        if combine is None:
-            combine = lambda a, b: a and b  # noqa: E731
-        table = tuple(
-            combine(a, b) for a in (False, True) for b in (False, True)
-        )
-        return memoized(
-            "ta.product_empty",
-            (self, other),
-            lambda: self._product_is_empty(other, combine),
-            extra=(table,),
-        )
-
-    def _product_is_empty(
-        self, other: "BottomUpTA", combine: Callable[[bool, bool], bool]
-    ) -> bool:
-        if self.alphabet.symbols != other.alphabet.symbols:
-            raise AutomatonError("product requires identical alphabets")
-        governor = current_governor()
-        a, b = ta_index(self), ta_index(other)
-        na, nb = a.n, b.n
-        a_acc, b_acc = a.accepting_mask, b.accepting_mask
-
-        def is_accepting(code: int) -> bool:
-            ai, bi = divmod(code, nb)
-            return combine(bool((a_acc >> ai) & 1), bool((b_acc >> bi) & 1))
-
-        seen: dict[int, None] = {}
-        for symbol in sorted(self.alphabet.leaves):
-            amask = a.leaf.get(symbol, 0)
-            bmask = b.leaf.get(symbol, 0)
-            if not (amask and bmask):
-                continue
-            for ai in bit_indices(amask):
-                base = ai * nb
-                for bi in bit_indices(bmask):
-                    code = base + bi
-                    if code not in seen:
-                        seen[code] = None
-                        governor.add_states()
-                        if is_accepting(code):
-                            return False
-        internals = sorted(self.alphabet.internals)
-        frontier = list(seen)
-        while frontier:
-            known = list(seen)
-            new_codes: list[int] = []
-            frontier_set = set(frontier)
-            for symbol in internals:
-                arow = a.pair.get(symbol)
-                brow = b.pair.get(symbol)
-                if not (arow and brow):
-                    continue
-                for c1 in known:
-                    a1, b1 = divmod(c1, nb)
-                    for c2 in known:
-                        governor.tick()
-                        if c1 not in frontier_set and c2 not in frontier_set:
-                            continue
-                        a2, b2 = divmod(c2, nb)
-                        amask = arow.get(a1 * na + a2, 0)
-                        if not amask:
-                            continue
-                        bmask = brow.get(b1 * nb + b2, 0)
-                        if not bmask:
-                            continue
-                        for ai in bit_indices(amask):
-                            base = ai * nb
-                            for bi in bit_indices(bmask):
-                                code = base + bi
-                                if code not in seen:
-                                    seen[code] = None
-                                    governor.add_states()
-                                    new_codes.append(code)
-                                    if is_accepting(code):
-                                        return False
-            frontier = new_codes
-        return True
-
     def product_witness(
-        self,
-        other: "BottomUpTA",
-        combine: Optional[Callable[[bool, bool], bool]] = None,
+        self, other: "BottomUpTA", stats: Optional[dict] = None
     ) -> Optional[BTree]:
-        """A smallest-ish tree of the ``combine``-product language, found
-        without materializing the product automaton.
+        """A tree of ``L(self) ∩ L(other)``, or ``None`` when it is empty,
+        found without materializing the product automaton.
 
-        Equivalent to ``product(other, combine).trimmed().witness()`` but
-        runs the cheapest-derivation fixpoint directly over the reachable
-        product pairs.  ``combine`` defaults to intersection, so
+        Runs :func:`~repro.automata.alternating.lazy_product_witness`:
+        ``self``'s rules drive the search and ``other`` (determinized
+        first unless it is deterministic) is read through its intern
+        table, so only product pairs that some tree reaches are visited
+        and the search stops at the first accepting pair.  So
         ``a.product_witness(b.complemented())`` is a witness for
-        ``L(a) - L(b)``.
+        ``L(a) - L(b)``.  ``stats``, when given, receives the search's
+        ``pairs`` and ``steps`` counts.
         """
-        if combine is None:
-            combine = lambda a, b: a and b  # noqa: E731
-        table = tuple(
-            combine(a, b) for a in (False, True) for b in (False, True)
-        )
-        with current_tracer().span("ta.product_witness"):
-            return memoized(
-                "ta.product_witness",
-                (self, other),
-                lambda: self._product_witness(other, combine),
-                extra=(table,),
-            )
-
-    def _product_witness(
-        self, other: "BottomUpTA", combine: Callable[[bool, bool], bool]
-    ) -> Optional[BTree]:
         if self.alphabet.symbols != other.alphabet.symbols:
             raise AutomatonError("product requires identical alphabets")
-        governor = current_governor()
-        a, b = ta_index(self), ta_index(other)
-        na, nb = a.n, b.n
-        best: dict[int, BTree] = {}
-        size: dict[int, int] = {}
-        for symbol in sorted(self.alphabet.leaves):
-            amask = a.leaf.get(symbol, 0)
-            bmask = b.leaf.get(symbol, 0)
-            if not (amask and bmask):
-                continue
-            tree = BTree(symbol)
-            for ai in bit_indices(amask):
-                base = ai * nb
-                for bi in bit_indices(bmask):
-                    code = base + bi
-                    if code not in best:
-                        best[code] = tree
-                        size[code] = 1
-                        governor.add_states()
-        internals = sorted(self.alphabet.internals)
-        changed = True
-        while changed:
-            changed = False
-            known = list(best)
-            for symbol in internals:
-                arow = a.pair.get(symbol)
-                brow = b.pair.get(symbol)
-                if not (arow and brow):
-                    continue
-                for c1 in known:
-                    a1, b1 = divmod(c1, nb)
-                    for c2 in known:
-                        governor.tick()
-                        a2, b2 = divmod(c2, nb)
-                        amask = arow.get(a1 * na + a2, 0)
-                        if not amask:
-                            continue
-                        bmask = brow.get(b1 * nb + b2, 0)
-                        if not bmask:
-                            continue
-                        candidate_size = size[c1] + size[c2] + 1
-                        candidate: Optional[BTree] = None
-                        for ai in bit_indices(amask):
-                            base = ai * nb
-                            for bi in bit_indices(bmask):
-                                code = base + bi
-                                known_size = size.get(code)
-                                if (
-                                    known_size is None
-                                    or candidate_size < known_size
-                                ):
-                                    if candidate is None:
-                                        candidate = BTree(
-                                            symbol, best[c1], best[c2]
-                                        )
-                                    if known_size is None:
-                                        governor.add_states()
-                                    best[code] = candidate
-                                    size[code] = candidate_size
-                                    changed = True
-        a_acc, b_acc = a.accepting_mask, b.accepting_mask
-        winner: Optional[BTree] = None
-        winner_size = 0
-        for code in sorted(best):
-            ai, bi = divmod(code, nb)
-            if combine(bool((a_acc >> ai) & 1), bool((b_acc >> bi) & 1)):
-                if winner is None or size[code] < winner_size:
-                    winner = best[code]
-                    winner_size = size[code]
-        return winner
+        with current_tracer().span("ta.product_witness"):
+            if reference_algebra_enabled():
+                reference = _reference()
+                product = reference.ta_trimmed(
+                    reference.ta_product(self, other, lambda a, b: a and b)
+                )
+                if stats is not None:
+                    stats["pairs"] = len(product.states)
+                return reference.ta_witness(product)
+            if not other.is_deterministic():
+                other = other.determinized()
+            return lazy_product_witness(
+                deterministic_view(other), self, stats=stats
+            )
 
     def generate(
         self,

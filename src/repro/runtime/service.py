@@ -221,7 +221,7 @@ class ServiceConfig:
 # -- the pool worker body (runs in the forked subprocess) --------------------
 
 
-def _pool_worker_main(config: dict, conn) -> None:
+def _pool_worker_main(config: dict, conn, daemon_ends) -> None:
     """Serve jobs from ``conn`` until retired, EOF'd, or dead.
 
     One message in (a job payload dict, or ``None`` to retire), one
@@ -231,7 +231,13 @@ def _pool_worker_main(config: dict, conn) -> None:
     it, so a freshly recycled worker starts warm.  ``conn`` doubles as
     the liveness contract: when the daemon dies — even ``kill -9`` — the
     pipe EOFs and the worker exits instead of lingering as an orphan.
+    That holds only once no process but the daemon holds a daemon-side
+    end, so ``daemon_ends`` (the daemon-side :class:`Connection` objects
+    a fork copies into this process: this worker's own and every live
+    sibling's) are closed first thing.
     """
+    for end in daemon_ends:
+        end.close()
     for fd in config.get("close_fds", ()):
         try:  # the parent's lock and listening socket are not ours
             os.close(fd)
@@ -905,8 +911,16 @@ class ServiceDaemon:
             ),
             "close_fds": self._inherited_fds(),
         }
+        # the daemon-side ends the child would otherwise inherit (fork
+        # passes these objects as they are, without pickling)
+        daemon_ends = [parent_conn] + [
+            other.conn for other in self._workers
+            if other.conn is not None and not other.conn.closed
+        ]
         process = self._mp.Process(
-            target=_pool_worker_main, args=(config, child_conn), daemon=True
+            target=_pool_worker_main,
+            args=(config, child_conn, daemon_ends),
+            daemon=True,
         )
         process.start()
         child_conn.close()

@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from repro.automata.bottom_up import BottomUpTA
-from repro.automata.convert import bu_to_td
+from repro.automata.convert import bu_to_td, td_to_bu
 from repro.automata.from_dtd import dtd_to_automaton, specialized_to_automaton
 from repro.errors import ResourceExhausted, TypecheckError
-from repro.pebble.output_automaton import output_language
+from repro.pebble.output_automaton import output_automaton
 from repro.pebble.product import transducer_times_automaton
 from repro.pebble.to_regular import pebble_automaton_to_ta
 from repro.pebble.transducer import PebbleTransducer
@@ -272,6 +272,11 @@ def typecheck(
     With none of the governance knobs set, behaviour (and cost) is
     identical to the ungoverned engines.
 
+    On the ``exact`` route, ``stats["bad_language_states"]`` is the size
+    of the bad-input automaton ``R`` and ``stats["offending_states"]``
+    the number of product pairs ``(τ1 state, R state)`` the on-the-fly
+    witness search discovered; ``R ∩ τ1`` itself is never built.
+
     Every result's ``stats["cache"]`` records the memo-table activity of
     this run (hit/miss/store/eviction deltas of
     :data:`repro.runtime.cache.GLOBAL_CACHE`, plus its current size).
@@ -492,19 +497,17 @@ def _typecheck_exact(
     bad = bad_input_language(transducer, tau2)
 
     def stage():
-        with ambient.phase("intersect-input-type"), \
-                tracer.span("intersect-input-type"):
-            # align alphabets before intersecting (types may use extra
-            # symbols)
+        with ambient.phase("witness"), tracer.span("witness"):
+            # align alphabets first (types may use extra symbols); τ1's
+            # rules drive the search, the deterministic R is read lazily
             input_type = as_automaton(tau1, bad.alphabet)
             bad_inputs = as_automaton(bad, input_type.alphabet)
-            offending = bad_inputs.intersection(input_type).trimmed()
-        sizes = {
-            "bad_language_states": len(bad.states),
-            "offending_states": len(offending.states),
-        }
-        with ambient.phase("witness"), tracer.span("witness"):
-            witness = offending.witness()
+            counts: dict = {}
+            witness = input_type.product_witness(bad_inputs, stats=counts)
+            sizes = {
+                "bad_language_states": len(bad.states),
+                "offending_states": counts["pairs"],
+            }
             if witness is None:
                 return sizes, None, None
             return sizes, witness, offending_output(
@@ -538,8 +541,13 @@ def offending_output(
     transducer: PebbleTransducer, tree: BTree, not_tau2: BottomUpTA
 ) -> Optional[BTree]:
     """An output of ``transducer`` on ``tree`` in ``not_tau2``, the
-    complement of the output type (``None`` if there is none)."""
-    return output_language(transducer, tree).intersection(not_tau2).witness()
+    complement of the output type (``None`` if there is none).
+
+    Searches the product of the untrimmed Prop 3.8 output automaton with
+    ``not_tau2`` on the fly: only reachable pairs are visited, so
+    trimming ``A_t`` first would only add a pass."""
+    outputs = td_to_bu(output_automaton(transducer, tree))
+    return outputs.product_witness(not_tau2)
 
 
 def _input_instances(

@@ -13,16 +13,10 @@
 """
 
 import pytest
+from size_families import ALPHA, FAMILIES, chain_case, copy_case, mod_count
 
-from repro.automata import BottomUpTA
 from repro.automata.bitset import reference_algebra_enabled
-from repro.lang import parse_stylesheet, xslt_to_transducer
-from repro.pebble import (
-    copy_transducer,
-    evaluate,
-    exponential_transducer,
-    rotation_transducer,
-)
+from repro.pebble import evaluate
 from repro.runtime import (
     GLOBAL_CACHE,
     Tracer,
@@ -33,11 +27,7 @@ from repro.runtime import (
     tracing,
 )
 from repro.runtime.cache import tracked_keys
-from repro.trees import RankedAlphabet
 from repro.typecheck import as_automaton, typecheck
-from repro.xmlio import parse_dtd
-
-ALPHA = RankedAlphabet(leaves={"a", "b"}, internals={"f", "g"})
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -101,7 +91,7 @@ class TestOutermostOnly:
         """``complemented`` determinizes inside its compute: only the
         outer operation gets a key, and a direct ``determinized`` call
         afterwards is a miss, not a hit on a nested entry."""
-        automaton = _mod_count(ALPHA, 3)
+        automaton = mod_count(ALPHA, 3)
         clear_cache()
         with tracked_keys() as keys:
             automaton.complemented()
@@ -134,7 +124,7 @@ def test_traced_and_untraced_runs_count_alike(method):
         deltas = []
         for _ in range(2):
             before = _counters()
-            typecheck(*_chain(2, 1), method=method)
+            typecheck(*chain_case(2, 1), method=method)
             deltas.append(_delta(before))
         return deltas
 
@@ -147,89 +137,23 @@ def test_traced_and_untraced_runs_count_alike(method):
     assert plain[1]["misses"] == 0 and plain[1]["stores"] == 0
 
 
+def test_bounded_check_keys_nothing_per_input():
+    """The bounded falsifier's per-input witness search is not memoized:
+    checking ten times as many inputs stores no more entries."""
+    stored = []
+    for max_inputs in (5, 50):
+        clear_cache()
+        result = typecheck(*copy_case(3, 3), method="bounded",
+                           max_inputs=max_inputs)
+        assert result.ok and result.stats["inputs_checked"] == max_inputs
+        stored.append((result.stats["cache"]["stores"],
+                       result.stats["cache"]["entries"]))
+    assert stored[0] == stored[1]
+
+
 # ---------------------------------------------------------------------------
 # the size-family differential
 # ---------------------------------------------------------------------------
-
-
-def _mod_count(alphabet, n, root=None) -> BottomUpTA:
-    """Trees whose number of ``a`` leaves is 0 mod ``n``; with ``root``,
-    that symbol may label the root only."""
-    count = range(n)
-    rules = {
-        (symbol, i, j): {(i + j) % n}
-        for symbol in alphabet.internals - {root}
-        for i in count
-        for j in count
-    }
-    states, accepting = set(count), {0}
-    if root is not None:
-        rules.update({
-            (root, i, j): {("root", (i + j) % n)} for i in count for j in count
-        })
-        states |= {("root", i) for i in count}
-        accepting = {("root", 0)}
-    return BottomUpTA(
-        alphabet=alphabet,
-        states=states,
-        leaf_rules={s: {1 % n if s == "a" else 0} for s in alphabet.leaves},
-        rules=rules,
-        accepting=accepting,
-    )
-
-
-def _copy(n, m):
-    return copy_transducer(ALPHA), _mod_count(ALPHA, n), _mod_count(ALPHA, m)
-
-
-def _exponential(n, m):
-    machine = exponential_transducer(ALPHA)
-    return (machine, _mod_count(ALPHA, n),
-            _mod_count(machine.output_alphabet, m))
-
-
-def _rotation(n, m):
-    alpha = RankedAlphabet(leaves={"a", "b", "s"}, internals={"f", "r"})
-    machine = rotation_transducer(alpha)
-    return (machine, _mod_count(alpha, n, root="r"),
-            _mod_count(machine.output_alphabet, m))
-
-
-def _chain(depth, plus_level=None):
-    """An XSLT stylesheet copying a depth-``depth`` DTD chain into output
-    twins; with ``plus_level`` the output DTD needs a child there."""
-    tags = [f"t{i}" for i in range(depth)] + ["leaf"]
-    sheet, rules_in, rules_out = [], [], []
-    for i, tag in enumerate(tags[:-1]):
-        sheet.append(f'<xsl:template match="{tag}"><o{tag}>'
-                     f"<xsl:apply-templates/></o{tag}></xsl:template>")
-        rules_in.append(f"{tag} := {tags[i + 1]}*")
-        child = "oleaf" if i + 1 == depth else f"o{tags[i + 1]}"
-        rules_out.append(f"o{tag} := {child}{'+' if i == plus_level else '*'}")
-    sheet.append('<xsl:template match="leaf"><oleaf/></xsl:template>')
-    rules_in.append("leaf :=")
-    rules_out.append("oleaf :=")
-    tau1 = parse_dtd("\n".join(rules_in))
-    tau2 = parse_dtd("\n".join(rules_out))
-    machine = xslt_to_transducer(parse_stylesheet("".join(sheet)),
-                                 tags=tau1.symbols, root_tag=tau1.root)
-    return machine, tau1, tau2
-
-
-#: (name, build, expected ok) -- every verdict follows from the family's
-#: construction: copying keeps the a-count, the exponential output's
-#: a-count is a sum of powers 2^(d+1), rotation keeps every a-leaf, and a
-#: chain level may be empty in the input but not in the output.
-FAMILIES = [
-    ("copy-n8-ok", lambda: _copy(8, 8), True),
-    ("copy-n8-type-error", lambda: _copy(8, 9), False),
-    ("exponential-n12-ok", lambda: _exponential(12, 2), True),
-    ("exponential-n12-type-error", lambda: _exponential(12, 8), False),
-    ("rotation-n4-ok", lambda: _rotation(4, 4), True),
-    ("rotation-n4-type-error", lambda: _rotation(4, 5), False),
-    ("chain-n4-ok", lambda: _chain(4), True),
-    ("chain-n4-type-error", lambda: _chain(4, 3), False),
-]
 
 
 def _member(type_like, alphabet, tree) -> bool:

@@ -207,7 +207,6 @@ class TestGovernedPipeline:
             "transducer-product",
             "pebble-to-regular",
             "walking-summary",
-            "intersect-input-type",
             "witness",
         } or info.value.phase.startswith("regularize:level")
 

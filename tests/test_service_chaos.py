@@ -217,3 +217,39 @@ def test_worker_killed_mid_cache_write_leaves_a_recoverable_cache(
     assert stats["cache"]["entries"] > 0  # cache is clean and writable
     assert client.shutdown()["ok"]
     assert second.wait(timeout=30) == 0
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie (an orphan's new parent may
+    not reap it at once)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")
+
+
+def test_pool_workers_exit_when_the_daemon_is_killed(tmp_path):
+    # Not registered with ``reaper``: its process-group kill would stop
+    # the workers and hide the defect.  Two workers, so the second one
+    # forks while the first one's daemon-side pipe end is open.
+    daemon = start_serve(tmp_path / "state", "--workers", "2")
+    try:
+        client = wait_for_daemon(tmp_path / "state" / "service.sock")
+        served = client.submit(validate_job("warm"), timeout=60.0)
+        assert served["result"]["status"] == OK
+        pids = [worker["pid"] for worker in client.stats()["stats"]["workers"]]
+        assert len(pids) == 2 and all(pids)
+        os.kill(daemon.pid, signal.SIGKILL)
+        daemon.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(_exited, pids)):
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _exited(pid)] == []
+    finally:
+        try:
+            os.killpg(daemon.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        daemon.wait(timeout=10)
